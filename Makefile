@@ -52,60 +52,48 @@ sweep-smoke:
 	$(GO) run -race ./cmd/paso-loadgen -transport simnet -sweep 200,400 \
 		-rung 500ms -sweep-min-achieved 0.8 -out sweep-smoke.json
 
-# Sweep regression gate: run the smoke sweep fresh (no race detector, so
-# latencies are honest) into a scratch copy of the trajectory, then diff
-# the candidate against the recorded "sweep-smoke seed" point. Exits
-# nonzero when the knee drops or any shared rung's p99 blows past the
-# slack — the -compare verdict CI gates on. Smoke rungs measure ~1–2ms
-# p99s that scheduler noise on shared runners can inflate 10×, so the
-# gate combines a 4× slack with a 50ms absolute noise floor: it catches
-# knee collapse and order-of-magnitude latency regressions, not jitter.
+# Sweep regression gates: simnet mini-sweeps (no race detector, so
+# latencies are honest) into a scratch trajectory, then a -compare verdict
+# of candidate against baseline. A gate exits nonzero when the knee drops or
+# any shared rung's p99 blows past the slack, and every rung must sustain
+# 80% of its offered rate. Smoke rungs measure ~1–2ms p99s that scheduler
+# noise on shared runners can inflate 10×, so each gate combines a 4× slack
+# with a 50ms absolute noise floor: it catches knee collapse and
+# order-of-magnitude latency regressions, not jitter.
+#
+# $(call sweep-gate,OUT,BASE-LABEL,BASE-FLAGS,CAND-LABEL,CAND-FLAGS) sweeps
+# the baseline fresh into OUT, or — with empty BASE-FLAGS — copies the
+# recorded trajectory to OUT and compares against its BASE-LABEL point.
+sweep-run = $(GO) run ./cmd/paso-loadgen -transport simnet $(2) -sweep 200,400 \
+		-rung 500ms -sweep-min-achieved 0.8 \
+		-out $(1) -label "$(3)"
+
+define sweep-gate
+	$(if $(3),rm -f $(1),cp BENCH_paso.json $(1))
+	$(if $(3),$(call sweep-run,$(1),$(3),$(2)))
+	$(call sweep-run,$(1),$(5),$(4))
+	$(GO) run ./cmd/paso-loadgen -compare-slack 4 -compare-p99-floor 50 \
+		-out $(1) \
+		-compare "$(2)" "$(4)"
+endef
+
+# The smoke sweep against the recorded "sweep-smoke seed" point.
 sweep-check:
-	cp BENCH_paso.json /tmp/paso-sweep-check.json
-	$(GO) run ./cmd/paso-loadgen -transport simnet -sweep 200,400 \
-		-rung 500ms -sweep-min-achieved 0.8 \
-		-out /tmp/paso-sweep-check.json -label "sweep-smoke candidate"
-	$(GO) run ./cmd/paso-loadgen -compare-slack 4 -compare-p99-floor 50 \
-		-out /tmp/paso-sweep-check.json \
-		-compare "sweep-smoke seed" "sweep-smoke candidate"
+	$(call sweep-gate,/tmp/paso-sweep-check.json,sweep-smoke seed,,sweep-smoke candidate,)
 
-# Multi-class scaling gate (EXPERIMENTS.md, E19): two identical simnet
-# mini-sweeps into a scratch trajectory — single-class baseline, then 8
-# sharded classes with placed coordinators — and a -compare verdict. The
-# gate fails when sharding collapses the aggregate knee below the
-# single-class knee or blows a shared rung's p99 past the slack; the same
-# 4×-slack / 50ms-floor calibration as sweep-check keeps runner jitter
-# from flaking it. At these modest rates both modes must sustain every
-# rung, so the knees match and any real per-class regression surfaces.
+# Multi-class scaling gate (EXPERIMENTS.md, E19): single-class baseline,
+# then 8 sharded classes with placed coordinators. Sharding must not
+# collapse the aggregate knee below the single-class knee; at these modest
+# rates both modes sustain every rung, so the knees match and any real
+# per-class regression surfaces.
 sweep-classes:
-	rm -f /tmp/paso-sweep-classes.json
-	$(GO) run ./cmd/paso-loadgen -transport simnet -classes 1 -sweep 200,400 \
-		-rung 500ms -sweep-min-achieved 0.8 \
-		-out /tmp/paso-sweep-classes.json -label "classes=1 baseline"
-	$(GO) run ./cmd/paso-loadgen -transport simnet -classes 8 -sweep 200,400 \
-		-rung 500ms -sweep-min-achieved 0.8 \
-		-out /tmp/paso-sweep-classes.json -label "classes=8 candidate"
-	$(GO) run ./cmd/paso-loadgen -compare-slack 4 -compare-p99-floor 50 \
-		-out /tmp/paso-sweep-classes.json \
-		-compare "classes=1 baseline" "classes=8 candidate"
+	$(call sweep-gate,/tmp/paso-sweep-classes.json,classes=1 baseline,-classes 1,classes=8 candidate,-classes 8)
 
-# Leased-read gate (EXPERIMENTS.md, E21): two read-heavy simnet
-# mini-sweeps into a scratch trajectory — leases off, then the epoch-fenced
-# fast path on — and a -compare verdict. The gate fails when leases
-# collapse the read-heavy knee below the ordered baseline or blow a shared
-# rung's p99 past the slack (same 4×-slack / 50ms-floor calibration as
-# sweep-check). Both rungs must also individually sustain 80% of offered.
+# Leased-read gate (EXPERIMENTS.md, E21): read-heavy with leases off, then
+# the epoch-fenced fast path on. Leases must not collapse the read-heavy
+# knee below the ordered baseline.
 sweep-reads:
-	rm -f /tmp/paso-sweep-reads.json
-	$(GO) run ./cmd/paso-loadgen -transport simnet -read-heavy -sweep 200,400 \
-		-rung 500ms -sweep-min-achieved 0.8 \
-		-out /tmp/paso-sweep-reads.json -label "read-heavy leases=off baseline"
-	$(GO) run ./cmd/paso-loadgen -transport simnet -read-heavy -leases -sweep 200,400 \
-		-rung 500ms -sweep-min-achieved 0.8 \
-		-out /tmp/paso-sweep-reads.json -label "read-heavy leases=on candidate"
-	$(GO) run ./cmd/paso-loadgen -compare-slack 4 -compare-p99-floor 50 \
-		-out /tmp/paso-sweep-reads.json \
-		-compare "read-heavy leases=off baseline" "read-heavy leases=on candidate"
+	$(call sweep-gate,/tmp/paso-sweep-reads.json,read-heavy leases=off baseline,-read-heavy,read-heavy leases=on candidate,-read-heavy -leases)
 
 # Deterministic fault-injection smoke under the race detector; failures
 # replay bit-identically from the same seed (README, "Chaos testing").

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"paso/internal/class"
+	"paso/internal/obs"
 	"paso/internal/semantics"
 	"paso/internal/transport"
 )
@@ -51,11 +52,13 @@ func leaseOutsider(t *testing.T, sup []transport.NodeID, n int) transport.NodeID
 
 // TestLeasedReadFastPath drives reads from a non-member with leases on and
 // asserts the steady-view criterion: the fast path serves (well over) 90%
-// of them, the OpReadLeased stats row carries them, and the §3.3 audit
-// prices the ordering cost they saved.
+// of them, the OpReadLeased stats row carries them, the §3.3 audit prices
+// the ordering cost they saved, and the serve-side stage reads real time.
 func TestLeasedReadFastPath(t *testing.T) {
 	const n = 4
 	cfg := leaseTestConfig(n)
+	o := obs.New(obs.Options{})
+	cfg.Obs = o
 	c := newTestCluster(t, cfg, n)
 
 	cls := cfg.Classifier.ClassOf(taskTuple(7))
@@ -101,6 +104,10 @@ func TestLeasedReadFastPath(t *testing.T) {
 		if !strings.Contains(rep, want) {
 			t.Errorf("lease report missing %q:\n%s", want, rep)
 		}
+	}
+	serve := obs.StageSnapshots(o.Reg())[obs.StageLeaseServe]
+	if serve.Count == 0 || serve.Sum <= 0 {
+		t.Errorf("stage.lease.serve reads count=%d sum=%g, want both > 0", serve.Count, serve.Sum)
 	}
 }
 

@@ -382,10 +382,7 @@ type Endpoint struct {
 	closed bool
 }
 
-var (
-	_ transport.Endpoint    = (*Endpoint)(nil)
-	_ transport.OwnedSender = (*Endpoint)(nil)
-)
+var _ transport.Endpoint = (*Endpoint)(nil)
 
 // ID implements transport.Endpoint.
 func (e *Endpoint) ID() transport.NodeID { return e.id }
@@ -405,7 +402,7 @@ func (e *Endpoint) Send(to transport.NodeID, payload []byte) error {
 	return nil
 }
 
-// SendOwned implements transport.OwnedSender. The simulated bus copies the
+// SendOwned implements transport.Endpoint. The simulated bus copies the
 // payload per delivery before Send returns, so the pooled buffer can be
 // recycled immediately — encode-buffer reuse behaves identically in
 // simulation and deployment.

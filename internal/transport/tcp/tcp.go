@@ -183,10 +183,7 @@ func (p *peer) closeConn() {
 	p.mu.Unlock()
 }
 
-var (
-	_ transport.Endpoint    = (*Endpoint)(nil)
-	_ transport.OwnedSender = (*Endpoint)(nil)
-)
+var _ transport.Endpoint = (*Endpoint)(nil)
 
 // Listen starts an endpoint accepting frames on addr (use "127.0.0.1:0"
 // to pick a free port; Addr reports the actual address). Peers are added
@@ -283,7 +280,7 @@ func (e *Endpoint) Send(to transport.NodeID, payload []byte) error {
 	return e.send(to, payload, false)
 }
 
-// SendOwned implements transport.OwnedSender: Send, except the payload
+// SendOwned implements transport.Endpoint: Send, except the payload
 // buffer came from transport.GetBuf and the endpoint recycles it after the
 // frame is written or dropped.
 func (e *Endpoint) SendOwned(to transport.NodeID, payload []byte) error {

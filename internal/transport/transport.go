@@ -77,20 +77,6 @@ var (
 	ErrUnknownPeer = errors.New("transport: unknown peer")
 )
 
-// OwnedSender is the pooled-buffer send path. An endpoint implementing it
-// accepts payload buffers drawn from GetBuf and takes ownership: once the
-// frame has been written to the wire (or dropped), the endpoint recycles
-// the buffer with PutBuf. The caller must not read, mutate, or retain the
-// buffer after SendOwned returns. Encoders probe for this interface and
-// fall back to Send — where the buffer simply leaks to the garbage
-// collector, which is always safe — when the transport does not implement
-// it.
-type OwnedSender interface {
-	// SendOwned is Send with buffer-ownership transfer; same delivery
-	// semantics, same errors.
-	SendOwned(to NodeID, payload []byte) error
-}
-
 // bufPool recycles payload buffers between the protocol encoders and the
 // transports' write paths. Buffers are pooled as *[]byte so Get avoids an
 // allocation; the steady-state encode path costs zero allocations once the
@@ -103,8 +89,8 @@ var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b 
 const maxPooledBuf = 1 << 20
 
 // GetBuf returns an empty payload buffer from the shared pool. Append to
-// it, hand the result to an OwnedSender, and the transport recycles it; on
-// any other path the buffer is garbage collected like a plain allocation.
+// it, hand the result to Endpoint.SendOwned, and the transport recycles it;
+// on any other path the buffer is garbage collected like a plain allocation.
 func GetBuf() []byte {
 	return (*bufPool.Get().(*[]byte))[:0]
 }
@@ -127,6 +113,11 @@ type Endpoint interface {
 	// Send transmits payload to the peer. Sending to a down node is not
 	// an error; the message is silently dropped (as on a real LAN).
 	Send(to NodeID, payload []byte) error
+	// SendOwned is Send with buffer-ownership transfer: payload must come
+	// from GetBuf, and once the frame has been written to the wire (or
+	// dropped) the endpoint recycles it with PutBuf. The caller must not
+	// read, mutate, or retain the buffer after SendOwned returns.
+	SendOwned(to NodeID, payload []byte) error
 	// Recv returns the ordered receive stream. The channel is closed when
 	// the endpoint closes.
 	Recv() <-chan Item

@@ -22,10 +22,6 @@ func TestPipelinedGcastCoordinatorCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn test skipped in -short mode")
 	}
-	// Force the per-destination send workers on: single-CPU CI hosts
-	// default to inline sends, and this test (with the race detector) is
-	// where the worker handoff plumbing earns its coverage.
-	t.Setenv("PASO_FANOUT", "1")
 	const (
 		nodes     = 5
 		issuers   = 4  // concurrent gcast goroutines per node

@@ -96,16 +96,15 @@ var errWireCorrupt = errors.New("vsync: corrupt wire frame")
 
 // encodeWire serializes one envelope into a pooled buffer from the
 // transport buffer pool. Ownership of the returned slice follows the
-// transport.OwnedSender contract: hand it to SendOwned and the transport
-// recycles it after the frame is written or dropped; otherwise the buffer
-// simply falls to the garbage collector. Steady state the encode path does
+// transport.Endpoint.SendOwned contract: the transport recycles it after
+// the frame is written or dropped. Steady state the encode path does
 // not allocate.
 func encodeWire(w *wire) []byte {
 	return appendEnvelope(append(transport.GetBuf(), wireMagicV1), w, false)
 }
 
 // encodeWireBatch serializes several staged envelopes as one tBatch frame
-// without first copying them into a contiguous []wire — the send workers'
+// without first copying them into a contiguous []wire — the event loop's
 // path for a flushed outbox slice. Buffer ownership follows encodeWire.
 func encodeWireBatch(ws []*wire) []byte {
 	buf := append(transport.GetBuf(), wireMagicV1, byte(tBatch), 0)

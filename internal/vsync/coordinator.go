@@ -544,8 +544,7 @@ func (n *Node) coordCast(w *wire) {
 	// The cast's enqueue time: the order stage (and the order span of a
 	// traced request) starts here, not at sequence assignment, so staging
 	// latency cannot hide from the coordinated-omission-safe stage clocks.
-	// Coarse-clock site: one stamp per cast on the sequencing hot path.
-	g.stagedAt = append(g.stagedAt, obs.CoarseNow())
+	g.stagedAt = append(g.stagedAt, time.Now())
 	n.gCoordBacklog.Add(1)
 	g.gBacklog.Add(1)
 }
@@ -607,7 +606,7 @@ func (n *Node) sequenceStaged(g *coordGroup) {
 	}
 	g.staged = g.staged[:0]
 	g.stagedAt = g.stagedAt[:0]
-	run.refs = int32(len(g.members))
+	run.refs = len(g.members)
 	n.cRunSends.Inc()
 	n.cRunCasts.Add(int64(k))
 	n.hRunOcc.Observe(float64(k))
@@ -756,9 +755,7 @@ func (n *Node) finishCast(g *coordGroup, seq uint64, pc *pendingCast) {
 	g.gBacklog.Add(-1)
 	// Order stage: staging to full ack quorum, the coordinator's share
 	// of the operation's critical path — aggregate and keyed per group.
-	// pc.start came from the coarse clock at staging time, so elapsed is
-	// measured against the same clock.
-	elapsed := obs.CoarseSince(pc.start).Seconds()
+	elapsed := time.Since(pc.start).Seconds()
 	n.hStageOrder.Observe(elapsed)
 	g.hOrder.Observe(elapsed)
 	if pc.trace != 0 {

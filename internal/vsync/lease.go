@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"paso/internal/obs"
 	"paso/internal/transport"
 )
 
@@ -219,9 +218,9 @@ func (n *Node) serveLeaseRead(from transport.NodeID, w *wire) {
 		n.send(from, reply)
 		return
 	}
-	start := obs.CoarseNow()
+	start := time.Now()
 	resp, _ := lr.LeaseRead(w.Group, w.Payload)
-	n.hStageLease.Observe(obs.CoarseSince(start).Seconds())
+	n.hStageLease.Observe(time.Since(start).Seconds())
 	reply.Payload = resp
 	reply.Seq = g.last
 	reply.Size = len(g.members)

@@ -3,6 +3,7 @@ package vsync
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"paso/internal/obs"
 	"paso/internal/transport"
@@ -88,10 +89,9 @@ func (n *Node) flushDonations(g *memberState) {
 func (n *Node) apply(g *memberState, orderer transport.NodeID, w *wire) {
 	switch w.Event {
 	case evData:
-		// Coarse-clock site: per-delivery stage attribution, ms scale.
-		dstart := obs.CoarseNow()
+		dstart := time.Now()
 		resp, fail, dup := n.deliverOnce(g, w)
-		n.hStageDeliver.Observe(obs.CoarseSince(dstart).Seconds())
+		n.hStageDeliver.Observe(time.Since(dstart).Seconds())
 		if w.Trace != 0 {
 			note := ""
 			if dup {

@@ -4,8 +4,6 @@ import (
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"errors"
-	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,10 +69,6 @@ type Node struct {
 	ep   transport.Endpoint
 	h    Handler
 	self transport.NodeID
-	// owned is non-nil when the endpoint supports pooled-buffer sends
-	// (both bundled transports do): encoded frames then cycle through the
-	// transport buffer pool instead of being allocated per message.
-	owned transport.OwnedSender
 	// dec decodes incoming frames, interning group names. Loop-owned.
 	dec wireDecoder
 
@@ -125,24 +119,10 @@ type Node struct {
 	// Outgoing frames are staged here and flushed once per loop burst:
 	// messages bound for the same peer coalesce into one tBatch frame, so
 	// a burst of k ordered events costs one frame's α instead of k (§3.3).
+	// Each destination keeps its slice across flushes, truncated in place;
+	// outboxOrder lists the destinations staged to in the current burst.
 	outbox      map[transport.NodeID][]*wire
 	outboxOrder []transport.NodeID
-	// fanout enables the per-destination send workers. On multi-core
-	// hosts encoding a fan-out to N members overlaps across N goroutines
-	// instead of serializing on the event loop; with a single CPU the
-	// handoff is pure scheduling overhead, so the loop sends inline.
-	// Decided once at construction (GOMAXPROCS, overridable by the
-	// PASO_FANOUT env var) — never toggled while the loop runs.
-	fanout bool
-	// workers holds one send worker per destination, lazily spawned by
-	// flushOutbox. Per-destination FIFO (and with it total-order
-	// delivery) is preserved because each destination has exactly one
-	// worker draining an ordered channel.
-	workers map[transport.NodeID]chan []*wire
-	sendWG  sync.WaitGroup
-	// wsFree recycles outbox slices between the loop (stage) and the
-	// workers (drain) without sync.Pool's interface boxing.
-	wsFree chan []*wire
 
 	// Observability handles (resolved once at construction).
 	o           *obs.Obs
@@ -194,8 +174,8 @@ type Node struct {
 
 // wirePool recycles the wires the hot path mints per operation — the
 // coordinator's runs and replies and the members' acks. A pooled wire
-// carries refs = number of destinations it is staged to; the send worker
-// that performs the last encode recycles it (releaseWire).
+// carries refs = number of destinations it is staged to; the outbox flush
+// that encodes its last copy recycles it (releaseWire).
 var wirePool = sync.Pool{New: func() any { return new(wire) }}
 
 func getPooledWire() *wire { return wirePool.Get().(*wire) }
@@ -204,10 +184,10 @@ func getPooledWire() *wire { return wirePool.Get().(*wire) }
 // membership events, client requests, recovery traffic) are left to the
 // garbage collector.
 func releaseWire(w *wire) {
-	if atomic.LoadInt32(&w.refs) == 0 {
+	if w.refs == 0 {
 		return
 	}
-	if atomic.AddInt32(&w.refs, -1) != 0 {
+	if w.refs--; w.refs != 0 {
 		return
 	}
 	// Reset, keeping the Batch backing array but dropping every payload
@@ -310,12 +290,12 @@ func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 		o = obs.Nop()
 	}
 	n := &Node{
-		ep:      ep,
-		h:       h,
-		self:    ep.ID(),
-		cmds:    make(chan func()),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		ep:        ep,
+		h:         h,
+		self:      ep.ID(),
+		cmds:      make(chan func()),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 		live:      make(map[transport.NodeID]bool),
 		pending:   make(map[uint64]*pendingReq),
 		leases:    make(map[uint64]*pendingLease),
@@ -323,8 +303,6 @@ func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 		coordFn:   opts.Coord,
 		abdicated: make(map[string]uint64),
 		outbox:    make(map[transport.NodeID][]*wire),
-		workers:   make(map[transport.NodeID]chan []*wire),
-		wsFree:    make(chan []*wire, 64),
 
 		o:           o,
 		cGcast:      o.Counter("vsync.gcast.total"),
@@ -360,8 +338,6 @@ func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 		cLeaseFenced:  o.Counter("vsync.lease.fenced"),
 		hStageLease:   o.Histogram(obs.StageLeaseServe),
 	}
-	n.owned, _ = ep.(transport.OwnedSender)
-	n.fanout = fanoutEnabled()
 	for t := tCastReq; t <= tMaxType; t++ {
 		n.hFrame[t] = o.Histogram("vsync.frame.bytes." + t.String())
 	}
@@ -435,17 +411,13 @@ func (n *Node) Gcast(group string, payload []byte) (Result, error) {
 // request resolves. A zero trace disables all of it — Gcast(g, p) is
 // exactly GcastTraced(g, p, 0, 0).
 func (n *Node) GcastTraced(group string, payload []byte, trace, parent uint64) (Result, error) {
-	// Coarse-clock site: client-queue wait and end-to-end gcast latency
-	// are queue-crossing measurements (ms scale under load), so the cached
-	// clock's ≤250µs staleness is invisible while the per-op time.Now pair
-	// it replaces was a measurable slice of the saturation profile.
-	start := obs.CoarseNow()
+	start := time.Now()
 	ch := make(chan Result, 1)
 	ok := n.do(func() {
 		// Client-queue stage: from the caller handing the request to the
 		// node until the event loop picks it up. Under saturation this is
 		// the first queue to grow.
-		n.hStageClientQ.Observe(obs.CoarseSince(start).Seconds())
+		n.hStageClientQ.Observe(time.Since(start).Seconds())
 		n.startRequest(tCastReq, group, payload, ch, trace, parent)
 	})
 	if !ok {
@@ -457,7 +429,7 @@ func (n *Node) GcastTraced(group string, payload []byte, trace, parent uint64) (
 		if r.Fail {
 			n.cGcastFail.Inc()
 		}
-		n.hGcastLat.Observe(obs.CoarseSince(start).Seconds())
+		n.hGcastLat.Observe(time.Since(start).Seconds())
 		return r, nil
 	case <-n.done:
 		return Result{}, ErrClosed
@@ -590,7 +562,6 @@ const maxLoopBurst = 64
 func (n *Node) loop() {
 	defer close(n.done)
 	defer n.failAllPending()
-	defer n.stopWorkers()
 	for {
 		// Sequence then flush before blocking: casts staged by the
 		// previous burst share one seq-range allocation (flushCoord), and
@@ -630,120 +601,31 @@ func (n *Node) loop() {
 	}
 }
 
-// flushOutbox drains every staged per-destination frame group: with the
-// fan-out workers enabled, each group is handed to its destination's send
-// worker so the encodes overlap across peers off the event loop; on a
-// single-CPU host the handoff buys no parallelism and only costs wakeups,
-// so the loop encodes and transmits inline instead (see fanoutWorkers).
+// flushOutbox encodes and transmits every destination's staged frames on
+// the loop: one bare frame, or one coalesced tBatch when several are
+// staged. Per-peer concurrency and backpressure belong to the transport
+// (tcp's per-peer writer goroutine and bounded send queue), so the loop
+// hands each destination exactly one frame per flush and keeps per-peer
+// FIFO by construction. Releases of pooled wires happen here, on the loop.
 func (n *Node) flushOutbox() {
-	if len(n.outboxOrder) == 0 {
-		return
-	}
 	for _, to := range n.outboxOrder {
 		ws := n.outbox[to]
-		delete(n.outbox, to)
-		if len(ws) == 0 {
-			continue
-		}
-		if n.fanout {
-			n.workerFor(to) <- ws
+		if len(ws) == 1 {
+			_ = n.sendNow(to, ws[0]) // closed endpoint: loop exits soon
 		} else {
-			n.drainFrames(to, ws)
+			n.cBatchSends.Inc()
+			n.cBatchMsgs.Add(int64(len(ws)))
+			n.hBatchOcc.Observe(float64(len(ws)))
+			start := time.Now()
+			_ = n.transmit(to, tBatch, encodeWireBatch(ws), start)
 		}
-	}
-	n.outboxOrder = n.outboxOrder[:0]
-}
-
-// sendWorkerQueue bounds staged-but-unencoded frame groups per peer. The
-// loop blocks when a worker falls this far behind — backpressure toward
-// the clients, matching the transport's own bounded send queues.
-const sendWorkerQueue = 256
-
-// fanoutEnabled decides whether nodes use per-destination send workers:
-// yes when more than one CPU can actually run them, with the PASO_FANOUT
-// env var ("1"/"0") overriding either way — tests force the worker path
-// on single-CPU CI hosts with it.
-func fanoutEnabled() bool {
-	switch os.Getenv("PASO_FANOUT") {
-	case "1":
-		return true
-	case "0":
-		return false
-	}
-	return runtime.GOMAXPROCS(0) > 1
-}
-
-// workerFor returns the destination's send-worker channel, spawning the
-// worker on first use. Loop-owned (workers map is loop state).
-func (n *Node) workerFor(to transport.NodeID) chan []*wire {
-	ch := n.workers[to]
-	if ch == nil {
-		ch = make(chan []*wire, sendWorkerQueue)
-		n.workers[to] = ch
-		n.sendWG.Add(1)
-		go n.sendWorker(to, ch)
-	}
-	return ch
-}
-
-// sendWorker drains one destination's staged frame groups: encode,
-// transmit, release pooled wires, recycle the slice. Exactly one worker
-// per destination keeps the channel's order — and so per-peer FIFO —
-// intact.
-func (n *Node) sendWorker(to transport.NodeID, ch chan []*wire) {
-	defer n.sendWG.Done()
-	for ws := range ch {
-		n.drainFrames(to, ws)
-	}
-}
-
-// drainFrames encodes and transmits one destination's staged frame group —
-// one bare frame or a coalesced tBatch — then releases the pooled wires
-// and recycles the slice. Called by send workers, or by flushOutbox
-// directly when the fan-out workers are disabled.
-func (n *Node) drainFrames(to transport.NodeID, ws []*wire) {
-	if len(ws) == 1 {
-		n.xmit(to, ws[0])
-		releaseWire(ws[0])
-	} else {
-		n.cBatchSends.Inc()
-		n.cBatchMsgs.Add(int64(len(ws)))
-		n.hBatchOcc.Observe(float64(len(ws)))
-		n.xmitBatch(to, ws)
 		for _, w := range ws {
 			releaseWire(w)
 		}
+		clear(ws)
+		n.outbox[to] = ws[:0]
 	}
-	n.putWS(ws)
-}
-
-// stopWorkers closes every worker channel and waits for the in-flight
-// frame groups to drain. Runs before failAllPending on shutdown (defer
-// order), so workers never race a closing transport unsupervised.
-func (n *Node) stopWorkers() {
-	for _, ch := range n.workers {
-		close(ch)
-	}
-	n.sendWG.Wait()
-}
-
-// getWS draws a recycled outbox slice.
-func (n *Node) getWS() []*wire {
-	select {
-	case ws := <-n.wsFree:
-		return ws
-	default:
-		return make([]*wire, 0, 16)
-	}
-}
-
-// putWS recycles an outbox slice, dropping its wire references first.
-func (n *Node) putWS(ws []*wire) {
-	clear(ws)
-	select {
-	case n.wsFree <- ws[:0]:
-	default: // recycle ring full; let it go
-	}
+	n.outboxOrder = n.outboxOrder[:0]
 }
 
 func (n *Node) failAllPending() {
@@ -871,53 +753,29 @@ func (n *Node) SendApp(to transport.NodeID, payload []byte) error {
 // send stages a wire message for the destination; the loop flushes the
 // outbox after each burst, coalescing same-destination messages into one
 // frame. Only loop-owned code (and pre-loop initialization) may call it.
-// A staged wire must not be mutated afterward: the send worker encodes it
-// concurrently with the loop's next burst.
 func (n *Node) send(to transport.NodeID, w *wire) {
-	ws, ok := n.outbox[to]
-	if !ok {
+	ws := n.outbox[to]
+	if len(ws) == 0 {
 		n.outboxOrder = append(n.outboxOrder, to)
-		ws = n.getWS()
 	}
 	n.outbox[to] = append(ws, w)
 }
 
-// xmit serializes and transmits one frame immediately.
-func (n *Node) xmit(to transport.NodeID, w *wire) {
-	_ = n.sendNow(to, w) // closed endpoint: loop exits soon
-}
-
-// sendNow encodes w into a pooled buffer and hands it to the transport,
-// transferring buffer ownership when the endpoint supports it. The frame's
-// encoded size is recorded per message type — the actual |m| that the §3.3
-// msg-cost model prices.
+// sendNow encodes w into a pooled buffer and transmits it immediately.
 func (n *Node) sendNow(to transport.NodeID, w *wire) error {
-	encStart := time.Now()
-	buf := encodeWire(w)
-	n.hStageEncode.Observe(time.Since(encStart).Seconds())
-	if h := n.hFrame[w.Type]; h != nil {
-		h.Observe(float64(len(buf)))
-	}
-	if n.owned != nil {
-		return n.owned.SendOwned(to, buf)
-	}
-	return n.ep.Send(to, buf)
+	start := time.Now()
+	return n.transmit(to, w.Type, encodeWire(w), start)
 }
 
-// xmitBatch encodes a multi-message frame group as one tBatch frame
-// without materializing an intermediate tBatch wire.
-func (n *Node) xmitBatch(to transport.NodeID, ws []*wire) {
-	encStart := time.Now()
-	buf := encodeWireBatch(ws)
+// transmit hands an encoded frame to the transport, which takes ownership
+// of the pooled buffer. It records the encode stage and the frame's size
+// per message type — the actual |m| that the §3.3 msg-cost model prices.
+func (n *Node) transmit(to transport.NodeID, t msgType, buf []byte, encStart time.Time) error {
 	n.hStageEncode.Observe(time.Since(encStart).Seconds())
-	if h := n.hFrame[tBatch]; h != nil {
+	if h := n.hFrame[t]; h != nil {
 		h.Observe(float64(len(buf)))
 	}
-	if n.owned != nil {
-		_ = n.owned.SendOwned(to, buf)
-		return
-	}
-	_ = n.ep.Send(to, buf)
+	return n.ep.SendOwned(to, buf)
 }
 
 // liveChanged reacts to any membership edge (including the constructor's

@@ -88,6 +88,50 @@ func (h *traceHarness) tracedGcast(id transport.NodeID, group string, payload []
 	return tracedGcastOn(h.os[id], h.nds[id], uint64(id), group, payload)
 }
 
+// assertNested checks that an "order" or "deliver" span lies within its
+// parent's interval: the order span inside its gcast, each deliver span
+// inside its order. Every hop is stamped by the same precise clock, and a
+// child's work happens strictly between its parent's start and record.
+func assertNested(t *testing.T, trace uint64, spans []obs.Span) {
+	t.Helper()
+	byID := make(map[uint64]obs.Span, len(spans))
+	for _, s := range spans {
+		byID[s.ID] = s
+	}
+	for _, s := range spans {
+		if s.Name != "order" && s.Name != "deliver" {
+			continue
+		}
+		p, ok := byID[s.Parent]
+		if !ok {
+			t.Fatalf("trace %016x: %s span has no parent span", trace, s.Name)
+		}
+		if s.Start.Before(p.Start) || s.End.After(p.End) {
+			t.Fatalf("trace %016x: %s span [%v, %v] escapes its %s parent [%v, %v]",
+				trace, s.Name, s.Start, s.End, p.Name, p.Start, p.End)
+		}
+	}
+}
+
+// dropLink is a simnet.Injector that silently drops every frame on one
+// directed link. Unlike simnet's Cut it synthesizes no Down event, so the
+// membership views stay unchanged while the link is dark.
+type dropLink struct{ from, to transport.NodeID }
+
+func (d dropLink) Frame(from, to transport.NodeID, _ int) simnet.Fate {
+	return simnet.Fate{Drop: from == d.from && to == d.to}
+}
+
+// pendingRequests reports how many client requests the node has
+// outstanding, read on its event loop.
+func pendingRequests(nd *Node) int {
+	ch := make(chan int, 1)
+	if !nd.do(func() { ch <- len(nd.pending) }) {
+		return 0
+	}
+	return <-ch
+}
+
 // TestTraceSurvivesBatchCoalescing floods the group from three concurrent
 // senders so the outbox coalesces tOrdered fan-out into tBatch frames, then
 // asserts every trace still assembles completely: the trace header must
@@ -154,6 +198,7 @@ func TestTraceSurvivesBatchCoalescing(t *testing.T) {
 			t.Fatalf("trace %016x: gcast/order/deliver = %d/%d/%d, want 1/1/3",
 				trace, gcasts, orders, delivers)
 		}
+		assertNested(t, trace, asm.Spans)
 	}
 	if n != 3*perSender {
 		t.Fatalf("resolved %d traces, want %d", n, 3*perSender)
@@ -213,7 +258,9 @@ func TestTraceAcrossViewChange(t *testing.T) {
 // gcasts are in flight. Requests retransmitted to the successor must keep
 // their trace (the span carries a "retransmit" note), and any ordering
 // state lost with the coordinator must surface as an explicit gap in the
-// assembled trace, never as a silently complete one.
+// assembled trace, never as a silently complete one. The sender's link to
+// the coordinator goes dark before the crash, so at least one cast is
+// deterministically pending when the coordinator dies.
 func TestTraceSurvivesCoordinatorFailover(t *testing.T) {
 	h := newTraceHarness(t, 1, 2, 3)
 	for _, id := range []transport.NodeID{2, 3} {
@@ -228,28 +275,32 @@ func TestTraceSurvivesCoordinatorFailover(t *testing.T) {
 	}
 	results := make(chan done, 60)
 	sender, senderObs := h.nds[2], h.os[2]
-	// The sender signals after its fifth completed cast so the crash lands
-	// with 55 casts still to come — polling delivery counts instead loses
-	// the race on a loaded machine: the compact codec resolves the whole
-	// burst faster than a starved poll loop gets rescheduled.
-	crashNow := make(chan struct{})
+	// The sender pauses after its fifth completed cast. The test then drops
+	// every sender→coordinator frame, so the sender's next request reaches
+	// only its own pending table, and crashes the coordinator once that
+	// request is registered: the successor must retransmit it.
+	paused, resume := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 60; i++ {
 			if i == 5 {
-				close(crashNow)
+				close(paused)
+				<-resume
 			}
 			trace, res, err := tracedGcastOn(senderObs, sender, 2, "g", []byte(fmt.Sprintf("m%02d", i)))
 			results <- done{trace, res, err}
-			// Keep a gap between casts so the concurrent crash can land
-			// between round trips, not only inside one.
-			time.Sleep(100 * time.Microsecond)
 		}
 	}()
-	<-crashNow
+	<-paused
+	h.net.SetInjector(dropLink{from: 2, to: 1})
+	close(resume)
+	for pendingRequests(sender) == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
 	h.crash(1) // node 1 is the coordinator (lowest ID)
+	h.net.SetInjector(nil)
 	wg.Wait()
 	close(results)
 

@@ -163,12 +163,12 @@ type wire struct {
 	// own header instead of the frame header.
 	Batch []wire
 
-	// refs is sender-side state, never encoded: the number of destinations
-	// a pooled wire (coordinator runs and replies, member acks) is staged
-	// to. Each send worker decrements it after encoding; whoever reaches
-	// zero recycles the wire (releaseWire, node.go). Zero means the wire is
-	// not pooled and is left to the garbage collector.
-	refs int32
+	// refs is sender-side, loop-owned state, never encoded: the number of
+	// destinations a pooled wire (coordinator runs and replies, member
+	// acks) is staged to. The outbox flush decrements it after each encode
+	// and recycles the wire at zero (releaseWire, node.go). Zero means the
+	// wire is not pooled and is left to the garbage collector.
+	refs int
 }
 
 // syncInfo is one node's report about one group: its membership facts
