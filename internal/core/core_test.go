@@ -222,6 +222,40 @@ func TestLocalReadIsFree(t *testing.T) {
 	}
 }
 
+// TestReadAfterEvictAsksTheGroup covers the window between Read's
+// membership check and its local read: a leave processed in between
+// evicts the replica. The read must then go to the group and find the
+// object, not answer "no match" from an empty ghost replica.
+func TestReadAfterEvictAsksTheGroup(t *testing.T) {
+	c := newTestCluster(t, testConfig(), 4)
+	sup := c.Support("task/2")
+	m := c.Machine(sup[0])
+	ins, err := m.Insert(taskTuple(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Evict the server's replica while vsync still reports membership:
+	// exactly the state a concurrent leave leaves Read in.
+	m.srv.Evict(wgName("task/2"))
+	got, ok, err := m.Read(taskTplExact(5))
+	if err != nil || !ok {
+		t.Fatalf("read after evict: ok=%v err=%v", ok, err)
+	}
+	if got.ID() != ins.ID() {
+		t.Fatalf("read after evict returned %v, want %v", got, ins)
+	}
+	if st := m.Stats(); st[OpReadLocal].Count != 0 || st[OpReadRemote].Count != 1 {
+		t.Fatalf("local reads %d, remote %d; want 0 and 1",
+			st[OpReadLocal].Count, st[OpReadRemote].Count)
+	}
+	m.srv.mu.Lock()
+	_, ghost := m.srv.classes["task/2"]
+	m.srv.mu.Unlock()
+	if ghost {
+		t.Fatal("read recreated state for the evicted class")
+	}
+}
+
 func TestRemoteReadCostsFollowFigure1(t *testing.T) {
 	cfg := testConfig()
 	c := newTestCluster(t, cfg, 4)

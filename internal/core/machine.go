@@ -376,22 +376,25 @@ func (m *Machine) Read(tp tuple.Template) (tuple.Tuple, bool, error) {
 		lastCls = cls
 		legStart := time.Now()
 		if m.node.Member(wgName(cls)) {
-			obj, ok, probes := m.srv.localRead(cls, tp)
-			m.record(OpReadLocal, legStart, 0, float64(probes), float64(probes), !ok)
-			if trace != 0 {
-				m.o.Spans().Record(obs.Span{
-					Trace: trace, ID: obs.NextID(), Parent: trace,
-					Machine: uint64(m.id), Name: "local-read", Group: wgName(cls),
-					Start: legStart, Fail: !ok,
-					Note: fmt.Sprintf("probes=%d", probes),
-				})
+			// served=false: a leave evicted the replica after the
+			// membership check, so the read goes to the group below.
+			if obj, ok, served, probes := m.srv.localRead(cls, tp); served {
+				m.record(OpReadLocal, legStart, 0, float64(probes), float64(probes), !ok)
+				if trace != 0 {
+					m.o.Spans().Record(obs.Span{
+						Trace: trace, ID: obs.NextID(), Parent: trace,
+						Machine: uint64(m.id), Name: "local-read", Group: wgName(cls),
+						Start: legStart, Fail: !ok,
+						Note: fmt.Sprintf("probes=%d", probes),
+					})
+				}
+				m.policyRead(cls, true, 0)
+				if ok {
+					m.traceRoot(trace, "op.read", cls, opStart, false, "")
+					return obj, true, nil
+				}
+				continue
 			}
-			m.policyRead(cls, true, 0)
-			if ok {
-				m.traceRoot(trace, "op.read", cls, opStart, false, "")
-				return obj, true, nil
-			}
-			continue
 		}
 		target := wgName(cls)
 		if m.cfg.UseReadGroups {

@@ -50,12 +50,12 @@ func TestPlacedClusterOpsAndSpread(t *testing.T) {
 
 	names := []string{"task", "result", "item"}
 	for i := int64(0); i < 9; i++ {
-		if _, err := c.Machine(transport.NodeID(i%4+1)).Insert(namedTuple(names[i%3], i)); err != nil {
+		if _, err := c.Machine(transport.NodeID(i%4 + 1)).Insert(namedTuple(names[i%3], i)); err != nil {
 			t.Fatalf("insert %s %d: %v", names[i%3], i, err)
 		}
 	}
 	for i := int64(0); i < 9; i++ {
-		got, ok, err := c.Machine(transport.NodeID((i+1)%4+1)).Read(namedTpl(names[i%3], i))
+		got, ok, err := c.Machine(transport.NodeID((i+1)%4 + 1)).Read(namedTpl(names[i%3], i))
 		if err != nil || !ok {
 			t.Fatalf("read %s %d: %v ok=%v", names[i%3], i, err, ok)
 		}

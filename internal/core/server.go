@@ -110,7 +110,7 @@ func (s *server) Deliver(group string, origin transport.NodeID, payload []byte) 
 		s.onUpdate(cls)
 		return encodeResponse(&response{ok: true, probes: 1}), false
 	case cmdRead:
-		r := s.applyRead(cls, cmd.tpl)
+		r, _ := s.applyRead(cls, cmd.tpl)
 		return encodeResponse(r), !r.ok
 	case cmdRemove:
 		if kind != "wg" {
@@ -170,14 +170,21 @@ func (s *server) applyStore(cls class.ID, t tuple.Tuple) {
 	}
 }
 
-func (s *server) applyRead(cls class.ID, tp tuple.Template) *response {
+// applyRead answers a read from the local replica. served=false means
+// this server holds no replica of the class (never joined, or evicted on
+// leaving its write group), and the response is a miss. No read creates
+// class state: an evicted class must not come back as an empty ghost.
+func (s *server) applyRead(cls class.ID, tp tuple.Template) (r *response, served bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cs := s.stateFor(cls)
+	cs, ok := s.classes[cls]
+	if !ok {
+		return &response{}, false
+	}
 	before := cs.store.Stats().ReadProbes
 	t, ok := cs.store.Read(tp)
 	probes := cs.store.Stats().ReadProbes - before
-	return &response{ok: ok, obj: t, probes: uint32(probes)}
+	return &response{ok: ok, obj: t, probes: uint32(probes)}, true
 }
 
 func (s *server) applyRemove(cls class.ID, tp tuple.Template) *response {
@@ -194,8 +201,10 @@ func (s *server) applyRemove(cls class.ID, tp tuple.Template) *response {
 // (vsync.LeaseReader; the epoch check already happened in the group
 // layer). Only write groups are served: rg groups carry no state and a
 // wg member's store reflects every completed write, which is what makes
-// the lease answer safe under a stable view. Called from the vsync event
-// loop; applyRead only takes the short store mutex.
+// the lease answer safe under a stable view. A class with no replica here
+// is not served (nil resp): the node refuses the read and the client falls
+// back to the ordered path. Called from the vsync event loop; applyRead
+// only takes the short store mutex.
 func (s *server) leaseRead(group string, payload []byte) ([]byte, bool) {
 	kind, cls, ok := parseGroup(group)
 	if !ok || kind != "wg" {
@@ -205,15 +214,20 @@ func (s *server) leaseRead(group string, payload []byte) ([]byte, bool) {
 	if err := cmd.decode(payload, true); err != nil || cmd.kind != cmdRead {
 		return nil, true
 	}
-	r := s.applyRead(cls, cmd.tpl)
+	r, served := s.applyRead(cls, cmd.tpl)
+	if !served {
+		return nil, true
+	}
 	return encodeResponse(r), !r.ok
 }
 
 // localRead serves a compute process on this machine directly from the
-// local replica (the zero-message path of §4.3).
-func (s *server) localRead(cls class.ID, tp tuple.Template) (tuple.Tuple, bool, int) {
-	r := s.applyRead(cls, tp)
-	return r.obj, r.ok, int(r.probes)
+// local replica (the zero-message path of §4.3). served=false means the
+// replica is gone (a leave evicted it after the caller's membership
+// check) and the caller must ask the group instead.
+func (s *server) localRead(cls class.ID, tp tuple.Template) (t tuple.Tuple, ok, served bool, probes int) {
+	r, served := s.applyRead(cls, tp)
+	return r.obj, r.ok, served, int(r.probes)
 }
 
 // placeMarker parks a blocked read. Markers are per-replica soft state:
@@ -262,20 +276,24 @@ func (s *server) Snapshot(group string) []byte {
 		return nil
 	}
 	entries := cs.store.Snapshot()
-	out := make([]byte, 0, 16+len(entries)*64)
-	out = binary.LittleEndian.AppendUint64(out, cs.arrival)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(entries)))
+	out := make([]byte, 0, 8+len(entries)*48)
+	out = binary.AppendUvarint(out, cs.arrival)
+	out = binary.AppendUvarint(out, uint64(len(entries)))
+	var prev uint64
 	for _, e := range entries {
-		out = binary.LittleEndian.AppendUint64(out, e.Seq)
+		// Snapshot seqs ascend, so each is sent as its gap to the last.
+		out = binary.AppendUvarint(out, e.Seq-prev)
+		prev = e.Seq
 		tb := tuple.EncodeTuple(e.Tuple)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(tb)))
+		out = binary.AppendUvarint(out, uint64(len(tb)))
 		out = append(out, tb...)
 	}
 	return out
 }
 
 // Install implements vsync.Handler: replace a class replica with a
-// snapshot.
+// snapshot. A truncated entry ends the decode, keeping the entries before
+// it; an entry whose tuple fails to decode is skipped.
 func (s *server) Install(group string, state []byte) {
 	kind, cls, ok := parseGroup(group)
 	if !ok || kind == "rg" {
@@ -284,27 +302,32 @@ func (s *server) Install(group string, state []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cs := s.stateFor(cls)
-	if len(state) < 12 {
+	next := func() (uint64, bool) {
+		v, n := binary.Uvarint(state)
+		if n <= 0 {
+			return 0, false
+		}
+		state = state[n:]
+		return v, true
+	}
+	arrival, ok1 := next()
+	count, ok2 := next()
+	if !ok1 || !ok2 {
 		cs.arrival = 0
 		cs.store.Restore(nil)
 		return
 	}
-	arrival := binary.LittleEndian.Uint64(state[0:8])
-	count := int(binary.LittleEndian.Uint32(state[8:12]))
-	off := 12
-	entries := make([]storage.Entry, 0, count)
-	for i := 0; i < count; i++ {
-		if off+12 > len(state) {
+	entries := make([]storage.Entry, 0, min(count, uint64(len(state))))
+	var seq uint64
+	for i := uint64(0); i < count; i++ {
+		gap, ok1 := next()
+		n, ok2 := next()
+		if !ok1 || !ok2 || n > uint64(len(state)) {
 			break
 		}
-		seq := binary.LittleEndian.Uint64(state[off : off+8])
-		n := int(binary.LittleEndian.Uint32(state[off+8 : off+12]))
-		off += 12
-		if off+n > len(state) {
-			break
-		}
-		t, err := tuple.DecodeTuple(state[off : off+n])
-		off += n
+		seq += gap
+		t, err := tuple.DecodeTuple(state[:n])
+		state = state[n:]
 		if err != nil {
 			continue
 		}
@@ -328,8 +351,19 @@ func (s *server) Evict(group string) {
 }
 
 // ViewChange implements vsync.Handler. The engine reads group sizes from
-// gcast reply piggybacks instead, so nothing is recorded here.
-func (s *server) ViewChange(string, []transport.NodeID) {}
+// gcast reply piggybacks instead, so nothing is recorded here; but an
+// active write-group member always holds a replica, so a member that
+// activated without a state transfer (first member of an empty group)
+// gets its empty store here rather than on its first read.
+func (s *server) ViewChange(group string, _ []transport.NodeID) {
+	kind, cls, ok := parseGroup(group)
+	if !ok || kind != "wg" {
+		return
+	}
+	s.mu.Lock()
+	s.stateFor(cls)
+	s.mu.Unlock()
+}
 
 // AppMessage implements vsync.Handler; the machine layer overrides routing
 // by wrapping the server (see machine.go). The server itself never

@@ -30,7 +30,7 @@ func TestDeliverStoreAliasesFrame(t *testing.T) {
 		t.Fatalf("store command rejected (fail=%v)", fail)
 	}
 
-	got, ok, _ := s.localRead("jobs", tuple.NewTemplate(
+	got, ok, _, _ := s.localRead("jobs", tuple.NewTemplate(
 		tuple.Eq(tuple.String("job")), tuple.Any(tuple.KindString)))
 	if !ok {
 		t.Fatal("stored tuple not found")
@@ -62,5 +62,46 @@ func TestDeliverStoreAliasesFrame(t *testing.T) {
 	}
 	if inFrame(sv) {
 		t.Error("decodeCommand (copying mode) aliased the input buffer")
+	}
+}
+
+// TestSnapshotInstallRoundTrip: a g-join state transfer carries every
+// entry with its arrival seq and the class's arrival counter, and a
+// truncated transfer installs the entries before the cut.
+func TestSnapshotInstallRoundTrip(t *testing.T) {
+	newSrv := func() *server {
+		return newServer(Config{StoreKind: storage.KindHash}, obs.Nop(),
+			func(class.ID) {}, func(transport.NodeID) {})
+	}
+	src := newSrv()
+	for i := int64(0); i < 5; i++ {
+		payload := encodeCommand(&command{kind: cmdStore, class: "jobs",
+			obj: tuple.New(tuple.ID{Origin: 7, Seq: uint64(i + 1)}, tuple.String("job"), tuple.Int(i))})
+		src.Deliver("wg/jobs", 1, payload)
+	}
+	src.Deliver("wg/jobs", 1, encodeCommand(&command{kind: cmdRemove, class: "jobs",
+		tpl: tuple.NewTemplate(tuple.Eq(tuple.String("job")), tuple.Eq(tuple.Int(2)))}))
+	snap := src.Snapshot("wg/jobs")
+
+	dst := newSrv()
+	dst.Install("wg/jobs", snap)
+	want := src.classes["jobs"].store.Snapshot()
+	got := dst.classes["jobs"].store.Snapshot()
+	if len(got) != 4 || len(got) != len(want) {
+		t.Fatalf("installed %d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Seq != want[i].Seq || got[i].Tuple.ID() != want[i].Tuple.ID() || !got[i].Tuple.Equal(want[i].Tuple) {
+			t.Errorf("entry %d = %v@%d, want %v@%d", i, got[i].Tuple, got[i].Seq, want[i].Tuple, want[i].Seq)
+		}
+	}
+	if a, b := dst.classes["jobs"].arrival, src.classes["jobs"].arrival; a != b || a != 5 {
+		t.Errorf("arrival = %d, want %d", a, b)
+	}
+
+	cut := newSrv()
+	cut.Install("wg/jobs", snap[:len(snap)-1])
+	if n := cut.classLen("jobs"); n != 3 {
+		t.Errorf("truncated install kept %d entries, want 3", n)
 	}
 }

@@ -103,14 +103,14 @@ type Sampler struct {
 	slots    int
 	now      func() time.Time
 
-	mu     sync.Mutex
-	names  []string          // id → series name, append-only
-	ids    map[string]uint32 // series name → id
-	last   []int64           // id → value at the newest frame
-	base   []int64           // id → value just before the oldest retained frame
-	baseAt time.Time         // timestamp of the frame the base absorbed last
-	frames []frame           // ring, oldest first
-	scratch map[string]int64 // reused flatten target
+	mu       sync.Mutex
+	names    []string          // id → series name, append-only
+	ids      map[string]uint32 // series name → id
+	last     []int64           // id → value at the newest frame
+	base     []int64           // id → value just before the oldest retained frame
+	baseAt   time.Time         // timestamp of the frame the base absorbed last
+	frames   []frame           // ring, oldest first
+	scratch  map[string]int64  // reused flatten target
 	onSample []func(prev, cur map[string]int64, at time.Time)
 
 	stopMu  sync.Mutex

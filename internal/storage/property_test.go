@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -16,9 +17,19 @@ type opScript struct {
 }
 
 type scriptOp struct {
-	kind int // 0 insert, 1 remove, 2 read, 3 removeByID
-	name byte
-	key  int64
+	kind  int // 0 insert, 1 remove, 2 read, 3 removeByID, 4 snapshot→restore
+	name  byte
+	key   int64
+	f     int // index into scriptFloats
+	shape int // bit i set: the template pins field i with OpEq
+}
+
+// scriptFloats holds the float field values: signed zeros and two NaN
+// payloads, which Equal treats as one value each.
+var scriptFloats = []float64{
+	0, math.Copysign(0, -1),
+	math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff0000000000f00),
+	1.5,
 }
 
 // Generate implements quick.Generator.
@@ -26,23 +37,51 @@ func (opScript) Generate(r *rand.Rand, size int) reflect.Value {
 	n := 20 + r.Intn(200)
 	ops := make([]scriptOp, n)
 	for i := range ops {
+		kind := r.Intn(4)
+		if r.Intn(50) == 0 {
+			kind = 4
+		}
 		ops[i] = scriptOp{
-			kind: r.Intn(4),
-			name: byte('a' + r.Intn(2)),
-			key:  int64(r.Intn(6)),
+			kind:  kind,
+			name:  byte('a' + r.Intn(2)),
+			key:   int64(r.Intn(6)),
+			f:     r.Intn(len(scriptFloats)),
+			shape: r.Intn(8),
 		}
 	}
 	return reflect.ValueOf(opScript{ops: ops})
 }
 
+// tuple returns the (name, key, float) object op inserts.
+func (op scriptOp) tuple(id uint64) tuple.Tuple {
+	return tuple.New(tuple.ID{Origin: 3, Seq: id},
+		tuple.String(string(op.name)), tuple.Int(op.key), tuple.Float(scriptFloats[op.f]))
+}
+
+// template pins the fields op.shape selects and leaves the rest formal:
+// ground, partial (any one or two fields) or fully formal.
+func (op scriptOp) template() tuple.Template {
+	vals := []tuple.Value{tuple.String(string(op.name)), tuple.Int(op.key), tuple.Float(scriptFloats[op.f])}
+	ms := make([]tuple.Matcher, len(vals))
+	for i, v := range vals {
+		if op.shape&(1<<i) != 0 {
+			ms[i] = tuple.Eq(v)
+		} else {
+			ms[i] = tuple.Any(v.Kind())
+		}
+	}
+	return tuple.NewTemplate(ms...)
+}
+
 // TestPropertyStoreKindsEquivalent runs random scripts against all three
-// store kinds: observable behaviour (remove results, lengths, snapshot
-// contents) must be identical. The list store is the executable spec.
+// store kinds: observable behaviour (read and remove results, lengths,
+// snapshot contents) must be identical, through ground, partial and
+// formal templates, signed-zero and NaN floats, and mid-script
+// snapshot→restore cycles. The list store is the executable spec.
 func TestPropertyStoreKindsEquivalent(t *testing.T) {
 	f := func(script opScript) bool {
 		ref := NewList()
-		hash := NewHash()
-		tree := NewTree(1)
+		stores := []Store{NewHash(), NewTree(1)}
 		var seq, idseq uint64
 		ids := make([]tuple.ID, 0, len(script.ops))
 		for _, op := range script.ops {
@@ -50,30 +89,24 @@ func TestPropertyStoreKindsEquivalent(t *testing.T) {
 			case 0:
 				seq++
 				idseq++
-				tu := tuple.New(tuple.ID{Origin: 3, Seq: idseq},
-					tuple.String(string(op.name)), tuple.Int(op.key))
+				tu := op.tuple(idseq)
 				ref.Insert(seq, tu)
-				hash.Insert(seq, tu)
-				tree.Insert(seq, tu)
+				for _, s := range stores {
+					s.Insert(seq, tu)
+				}
 				ids = append(ids, tu.ID())
-			case 1:
-				tp := tuple.NewTemplate(tuple.Eq(tuple.String(string(op.name))), tuple.Eq(tuple.Int(op.key)))
-				a, aok := ref.Remove(tp)
-				b, bok := hash.Remove(tp)
-				c, cok := tree.Remove(tp)
-				if aok != bok || aok != cok {
-					return false
+			case 1, 2:
+				tp := op.template()
+				do := Store.Remove
+				if op.kind == 2 {
+					do = Store.Read
 				}
-				if aok && (a.ID() != b.ID() || a.ID() != c.ID()) {
-					return false
-				}
-			case 2:
-				tp := tuple.NewTemplate(tuple.Eq(tuple.String(string(op.name))), tuple.Any(tuple.KindInt))
-				_, aok := ref.Read(tp)
-				_, bok := hash.Read(tp)
-				_, cok := tree.Read(tp)
-				if aok != bok || aok != cok {
-					return false
+				a, aok := do(ref, tp)
+				for _, s := range stores {
+					b, bok := do(s, tp)
+					if aok != bok || (aok && a.ID() != b.ID()) {
+						return false
+					}
 				}
 			case 3:
 				if len(ids) == 0 {
@@ -81,25 +114,34 @@ func TestPropertyStoreKindsEquivalent(t *testing.T) {
 				}
 				id := ids[int(op.key)%len(ids)]
 				a := ref.RemoveByID(id)
-				b := hash.RemoveByID(id)
-				c := tree.RemoveByID(id)
-				if a != b || a != c {
+				for _, s := range stores {
+					if s.RemoveByID(id) != a {
+						return false
+					}
+				}
+			case 4:
+				ref.Restore(ref.Snapshot())
+				for _, s := range stores {
+					s.Restore(s.Snapshot())
+				}
+			}
+			for _, s := range stores {
+				if s.Len() != ref.Len() {
 					return false
 				}
 			}
-			if ref.Len() != hash.Len() || ref.Len() != tree.Len() {
-				return false
-			}
 		}
 		// Final snapshots must agree entry for entry.
-		sa, sb, sc := ref.Snapshot(), hash.Snapshot(), tree.Snapshot()
-		if len(sa) != len(sb) || len(sa) != len(sc) {
-			return false
-		}
-		for i := range sa {
-			if sa[i].Seq != sb[i].Seq || sa[i].Seq != sc[i].Seq ||
-				sa[i].Tuple.ID() != sb[i].Tuple.ID() || sa[i].Tuple.ID() != sc[i].Tuple.ID() {
+		sa := ref.Snapshot()
+		for _, s := range stores {
+			sb := s.Snapshot()
+			if len(sa) != len(sb) {
 				return false
+			}
+			for i := range sa {
+				if sa[i].Seq != sb[i].Seq || sa[i].Tuple.ID() != sb[i].Tuple.ID() {
+					return false
+				}
 			}
 		}
 		return true

@@ -8,9 +8,12 @@
 // replicas identical without any extra coordination.
 //
 // Three data structures are provided, matching §5's menu: a hash table for
-// dictionary queries (I=Q=D=O(1)), a balanced tree for range queries, and a
-// linear list for general pattern matching. All three count "probes" so the
-// q parameter of the q-cost adaptive algorithm can be measured rather than
+// dictionary queries, a balanced tree for range queries, and a linear list
+// for general pattern matching. The hash store chains entries per field
+// value, so a template pinning any field with OpEq costs Q = the shortest
+// pinned chain walked to its first match (O(1) for keyed lookups) and
+// I = D = O(1) per indexed field. All three count "probes" so the q
+// parameter of the q-cost adaptive algorithm can be measured rather than
 // assumed.
 package storage
 
@@ -70,8 +73,8 @@ type Kind int
 const (
 	// KindList is a linear list: general pattern matching, Q=O(ℓ).
 	KindList Kind = iota + 1
-	// KindHash is a content-hash table: dictionary queries, Q=O(1) for
-	// fully ground templates.
+	// KindHash is a hash table of per-field value chains: dictionary
+	// queries, Q=O(1) for templates pinning a distinguishing field.
 	KindHash
 	// KindTree is an ordered tree on a key field: range queries,
 	// Q=O(log ℓ + matches).

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -190,6 +191,33 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 				if !ok || got.ID().Seq != 2 {
 					t.Fatalf("restore into %s: oldest = %v, %v", name2, got, ok)
 				}
+			}
+		})
+	}
+}
+
+// TestFloatKeysMatchLikeEqual: a pinned float finds a stored float that
+// Value.Equal calls equal, whatever its bits: -0 and +0, and NaNs with
+// different payloads. Every store kind must agree with Template.Matches.
+func TestFloatKeysMatchLikeEqual(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nanA := math.Float64frombits(0x7ff8000000000001)
+	nanB := math.Float64frombits(0x7ff0000000000f00)
+	floatTpl := func(f float64) tuple.Template {
+		return tuple.NewTemplate(tuple.Eq(tuple.String("f")), tuple.Eq(tuple.Float(f)))
+	}
+	for name, s := range allStores(t) {
+		t.Run(name, func(t *testing.T) {
+			s.Insert(1, tuple.New(tuple.ID{Origin: 1, Seq: 1}, tuple.String("f"), tuple.Float(negZero)))
+			s.Insert(2, tuple.New(tuple.ID{Origin: 1, Seq: 2}, tuple.String("f"), tuple.Float(nanA)))
+			if got, ok := s.Read(floatTpl(0)); !ok || got.ID().Seq != 1 {
+				t.Errorf("Read(Eq(+0)) = %v, %v; want the stored -0", got, ok)
+			}
+			if got, ok := s.Remove(floatTpl(nanB)); !ok || got.ID().Seq != 2 {
+				t.Errorf("Remove(Eq(NaN')) = %v, %v; want the stored NaN", got, ok)
+			}
+			if got, ok := s.Remove(floatTpl(0)); !ok || got.ID().Seq != 1 {
+				t.Errorf("Remove(Eq(+0)) = %v, %v; want the stored -0", got, ok)
 			}
 		})
 	}

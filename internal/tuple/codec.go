@@ -8,10 +8,11 @@ import (
 	"unsafe"
 )
 
-// Binary codec for tuples and templates. The format is a simple
-// length-delimited little-endian encoding; it is the wire format used by
+// Binary codec for tuples and templates; it is the wire format used by
 // both the in-process and TCP transports so message sizes are identical in
-// simulation and deployment.
+// simulation and deployment. Identities, arities and lengths are uvarints,
+// ints are zigzag varints, floats are 8 little-endian bytes, and every
+// value starts with its one-byte kind tag (PROTOCOL.md, "Tuple payload").
 
 // ErrCorrupt is returned when decoding runs off the end of the buffer or
 // meets an unknown tag.
@@ -19,12 +20,12 @@ var ErrCorrupt = errors.New("tuple: corrupt encoding")
 
 type encoder struct{ buf []byte }
 
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *encoder) u16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
-func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *encoder) u8(v uint8)       { e.buf = append(e.buf, v) }
+func (e *encoder) u64(v uint64)     { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *encoder) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
 func (e *encoder) bytes(b []byte) {
-	e.u32(uint32(len(b)))
+	e.uvarint(uint64(len(b)))
 	e.buf = append(e.buf, b...)
 }
 
@@ -54,26 +55,6 @@ func (d *decoder) u8() uint8 {
 	return v
 }
 
-func (d *decoder) u16() uint16 {
-	if d.err != nil || d.off+2 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.buf[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
 func (d *decoder) u64() uint64 {
 	if d.err != nil || d.off+8 > len(d.buf) {
 		d.fail()
@@ -84,10 +65,47 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-func (d *decoder) bytes() []byte {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || d.off+n > len(d.buf) {
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf[d.off:])
+	if n <= 0 {
 		d.fail()
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.buf[d.off:])
+	if n <= 0 {
+		d.fail()
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// count reads a uvarint count of elements or bytes and rejects one larger
+// than the bytes left, given that every element takes at least one byte; a
+// corrupt count can then never drive a huge allocation.
+func (d *decoder) count() int {
+	n := d.uvarint()
+	if d.err != nil || n > uint64(len(d.buf)-d.off) {
+		d.fail()
+		return 0
+	}
+	return int(n)
+}
+
+func (d *decoder) bytes() []byte {
+	n := d.count()
+	if d.err != nil {
 		return nil
 	}
 	b := d.buf[d.off : d.off+n]
@@ -99,7 +117,7 @@ func encodeValue(e *encoder, v Value) {
 	e.u8(uint8(v.kind))
 	switch v.kind {
 	case KindInt:
-		e.u64(uint64(v.i))
+		e.varint(v.i)
 	case KindFloat:
 		e.u64(math.Float64bits(v.f))
 	case KindString:
@@ -119,7 +137,7 @@ func decodeValue(d *decoder) Value {
 	k := Kind(d.u8())
 	switch k {
 	case KindInt:
-		return Int(int64(d.u64()))
+		return Int(d.varint())
 	case KindFloat:
 		return Float(math.Float64frombits(d.u64()))
 	case KindString:
@@ -141,9 +159,9 @@ func decodeValue(d *decoder) Value {
 // EncodeTuple serializes a tuple, identity included.
 func EncodeTuple(t Tuple) []byte {
 	e := &encoder{buf: make([]byte, 0, t.Size())}
-	e.u64(t.id.Origin)
-	e.u64(t.id.Seq)
-	e.u16(uint16(len(t.fields)))
+	e.uvarint(t.id.Origin)
+	e.uvarint(t.id.Seq)
+	e.uvarint(uint64(len(t.fields)))
 	for _, f := range t.fields {
 		encodeValue(e, f)
 	}
@@ -176,8 +194,8 @@ func DecodeTupleAlias(b []byte) (Tuple, error) {
 
 func decodeTuple(b []byte, alias bool) (Tuple, error) {
 	d := &decoder{buf: b, alias: alias}
-	id := ID{Origin: d.u64(), Seq: d.u64()}
-	n := int(d.u16())
+	id := ID{Origin: d.uvarint(), Seq: d.uvarint()}
+	n := d.count()
 	fields := make([]Value, 0, n)
 	for i := 0; i < n; i++ {
 		fields = append(fields, decodeValue(d))
@@ -191,7 +209,7 @@ func decodeTuple(b []byte, alias bool) (Tuple, error) {
 // EncodeTemplate serializes a template.
 func EncodeTemplate(tp Template) []byte {
 	e := &encoder{buf: make([]byte, 0, tp.Size())}
-	e.u16(uint16(len(tp.matchers)))
+	e.uvarint(uint64(len(tp.matchers)))
 	for _, m := range tp.matchers {
 		e.u8(uint8(m.Op))
 		e.u8(uint8(m.Kind))
@@ -226,7 +244,7 @@ func DecodeTemplateAlias(b []byte) (Template, error) {
 
 func decodeTemplate(b []byte, alias bool) (Template, error) {
 	d := &decoder{buf: b, alias: alias}
-	n := int(d.u16())
+	n := d.count()
 	ms := make([]Matcher, 0, n)
 	for i := 0; i < n; i++ {
 		m := Matcher{Op: MatchOp(d.u8()), Kind: Kind(d.u8())}

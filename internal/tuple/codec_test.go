@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -55,8 +56,11 @@ func TestDecodeTupleCorrupt(t *testing.T) {
 			t.Errorf("truncation at %d decoded without error", cut)
 		}
 	}
+	// The first field's kind tag follows the identity and arity uvarints:
+	// one byte each for the zero ID and arity 2.
+	tag := len(binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, 0), 0), 2))
 	bad := append([]byte{}, good...)
-	bad[16+2] = 99 // corrupt first field kind tag (after id+arity)
+	bad[tag] = 99 // corrupt first field kind tag (after id+arity)
 	if _, err := DecodeTuple(bad); err == nil {
 		t.Error("bad kind tag decoded without error")
 	}
@@ -102,5 +106,25 @@ func TestEncodedSizeTracksSizeEstimate(t *testing.T) {
 	est := tu.Size()
 	if est < enc/2 || est > enc*2 {
 		t.Errorf("size estimate %d far from encoded size %d", est, enc)
+	}
+}
+
+func TestDecodeRejectsArityBeyondInput(t *testing.T) {
+	// Zero ID, then an arity of 1<<20 with nothing after it: every field
+	// needs at least its kind tag, so the count alone proves corruption.
+	b := binary.AppendUvarint([]byte{0, 0}, 1<<20)
+	if _, err := DecodeTuple(b); err == nil {
+		t.Error("tuple arity beyond the input decoded without error")
+	}
+	if _, err := DecodeTemplate(binary.AppendUvarint(nil, 1<<20)); err == nil {
+		t.Error("template arity beyond the input decoded without error")
+	}
+}
+
+func TestEncodeTupleIsCompact(t *testing.T) {
+	// id (2+1) + arity 1 + "task" (1+1+4) + int 7 (1+1).
+	b := EncodeTuple(New(ID{Origin: 2, Seq: 300}, String("task"), Int(7)))
+	if len(b) != 12 {
+		t.Errorf("encoded size = %d, want 12", len(b))
 	}
 }

@@ -173,6 +173,46 @@ func (v Value) Equal(o Value) bool {
 	}
 }
 
+// Key is a comparable form of a Value for use as a map key. Two valid
+// values have the same Key exactly when Equal reports them equal: floats
+// map -0 to +0 and every NaN payload to one NaN, as Equal does.
+type Key struct {
+	kind Kind
+	n    uint64
+	s    string
+}
+
+// canonicalNaN is the bit pattern every NaN's Key carries.
+const canonicalNaN = 0x7ff8000000000001
+
+// Key returns the value's map key. A bytes value copies its payload into
+// the key; the other kinds do not allocate.
+func (v Value) Key() Key {
+	switch v.kind {
+	case KindInt:
+		return Key{kind: KindInt, n: uint64(v.i)}
+	case KindFloat:
+		switch {
+		case v.f == 0:
+			return Key{kind: KindFloat}
+		case math.IsNaN(v.f):
+			return Key{kind: KindFloat, n: canonicalNaN}
+		}
+		return Key{kind: KindFloat, n: math.Float64bits(v.f)}
+	case KindString:
+		return Key{kind: KindString, s: v.s}
+	case KindBool:
+		if v.b {
+			return Key{kind: KindBool, n: 1}
+		}
+		return Key{kind: KindBool}
+	case KindBytes:
+		return Key{kind: KindBytes, s: string(v.by)}
+	default:
+		return Key{}
+	}
+}
+
 // Compare orders two values of the same kind: -1, 0, or +1. Values of
 // different kinds are ordered by kind. Bools order false < true; bytes order
 // lexicographically.

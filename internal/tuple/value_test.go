@@ -163,3 +163,20 @@ func TestValueString(t *testing.T) {
 		}
 	}
 }
+
+func TestKeyAgreesWithEqual(t *testing.T) {
+	nan1 := math.Float64frombits(0x7ff8000000000001)
+	nan2 := math.Float64frombits(0x7ff0000000000f00)
+	vals := []Value{
+		Int(0), Int(-1), Float(0), Float(math.Copysign(0, -1)), Float(nan1), Float(nan2),
+		Float(1.5), String(""), String("a"), Bool(false), Bool(true),
+		Bytes(nil), Bytes([]byte("a")),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := a.Key() == b.Key(), a.Equal(b); got != want {
+				t.Errorf("Key(%v)==Key(%v) is %v, Equal is %v", a, b, got, want)
+			}
+		}
+	}
+}

@@ -76,10 +76,10 @@ const wireMagicV1 = wireMagic | wireVersion
 
 // Envelope flag bits.
 const (
-	flagFail  = 1 << 0 // wire.Fail
-	flagInfos = 1 << 1 // wire.Infos present (tSyncInfo)
-	eventShift = 2     // bits 2-4 carry the eventKind
-	eventMask  = 0x7
+	flagFail     = 1 << 0 // wire.Fail
+	flagInfos    = 1 << 1 // wire.Infos present (tSyncInfo)
+	eventShift   = 2      // bits 2-4 carry the eventKind
+	eventMask    = 0x7
 	flagReserved = 0xE0 // bits 5-7 must be zero in v1
 )
 

@@ -33,7 +33,9 @@ type LeaseReader interface {
 	// the transport receive frame (immutable; may be retained), exactly
 	// like Handler.Deliver's payload. fail marks a local miss; the reply
 	// still counts as served, the fence flag is reserved for epoch and
-	// membership mismatches.
+	// membership mismatches. A nil resp means the handler cannot serve
+	// the read (no local state for the group, or a malformed request):
+	// the node refuses it as it refuses a fenced one.
 	LeaseRead(group string, payload []byte) (resp []byte, fail bool)
 }
 
@@ -221,6 +223,12 @@ func (n *Node) serveLeaseRead(from transport.NodeID, w *wire) {
 	start := time.Now()
 	resp, _ := lr.LeaseRead(w.Group, w.Payload)
 	n.hStageLease.Observe(time.Since(start).Seconds())
+	if resp == nil {
+		reply.Fail = true
+		n.cLeaseRefused.Inc()
+		n.send(from, reply)
+		return
+	}
 	reply.Payload = resp
 	reply.Seq = g.last
 	reply.Size = len(g.members)

@@ -15,9 +15,11 @@ import (
 // leaseHandler extends testHandler with the LeaseReader fast path: LeaseRead
 // echoes the payload prefixed with "leased:" plus the group's delivered
 // count, so tests can tell a leased answer from an ordered one and see the
-// state the server answered from.
+// state the server answered from. With unserved set it answers nil, as a
+// handler with no local state for the group does.
 type leaseHandler struct {
 	*testHandler
+	unserved bool // guarded by testHandler.mu
 }
 
 var _ LeaseReader = (*leaseHandler)(nil)
@@ -25,6 +27,9 @@ var _ LeaseReader = (*leaseHandler)(nil)
 func (h *leaseHandler) LeaseRead(group string, payload []byte) ([]byte, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.unserved {
+		return nil, true
+	}
 	return []byte(fmt.Sprintf("leased:%s:%d", payload, len(h.state[group]))), false
 }
 
@@ -51,7 +56,7 @@ func newLeaseHarness(t *testing.T, ids ...transport.NodeID) *leaseHarness {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lh := &leaseHandler{newTestHandler()}
+		lh := &leaseHandler{testHandler: newTestHandler()}
 		h.nds[id] = NewNode(ep, lh)
 		h.hs[id] = lh
 	}
@@ -148,6 +153,24 @@ func TestLeaseReadRefusedNonMember(t *testing.T) {
 	h := newLeaseHarness(t, 1, 2)
 	h.waitEpochAgreement(2)
 	// Node 1 never joined wg/a: it must fence, not answer from empty state.
+	_, err := h.nds[2].LeaseRead("wg/a", 1, []byte("q"), time.Second)
+	if !errors.Is(err, ErrLeaseFenced) {
+		t.Fatalf("err = %v, want ErrLeaseFenced", err)
+	}
+}
+
+// TestLeaseReadRefusedWhenUnserved: an active member whose handler has no
+// state to answer from (nil resp) must refuse the read like a fence, so the
+// client falls back to the ordered path instead of trusting an empty answer.
+func TestLeaseReadRefusedWhenUnserved(t *testing.T) {
+	h := newLeaseHarness(t, 1, 2)
+	if err := h.nds[1].Join("wg/a"); err != nil {
+		t.Fatal(err)
+	}
+	h.waitEpochAgreement(2)
+	h.hs[1].mu.Lock()
+	h.hs[1].unserved = true
+	h.hs[1].mu.Unlock()
 	_, err := h.nds[2].LeaseRead("wg/a", 1, []byte("q"), time.Second)
 	if !errors.Is(err, ErrLeaseFenced) {
 		t.Fatalf("err = %v, want ErrLeaseFenced", err)

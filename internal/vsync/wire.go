@@ -45,23 +45,23 @@ import (
 type msgType uint8
 
 const (
-	tCastReq  msgType = iota + 1 // client → coordinator: order this payload
-	tJoinReq                     // client → coordinator: add me to group
-	tLeaveReq                    // client → coordinator: remove me
-	tOrdered                     // coordinator → members: sequenced event
-	tAck                         // member → coordinator: processed + response
-	tReply                       // coordinator → client: gathered response
-	tState                       // donor → joiner/laggard: state snapshot
-	tSync                        // new coordinator → all: report your groups
-	tSyncInfo                    // node → new coordinator: my group facts
-	tResync                      // coordinator → donor: push state to laggard
-	tApp                         // application point-to-point message
-	tRestate                     // coordinator → member: your series diverged; wipe and rejoin
-	tBatch                       // container: several messages coalesced into one frame
-	tOrderedRun                  // coordinator → members: contiguous run of sequenced data events
-	tClaim                       // node → group owner: unsolicited placement claim (member nudge or abdication handoff)
-	tLeaseRead                   // client → group member: epoch-fenced direct read (bypasses the sequencer)
-	tLeaseReply                  // group member → client: leased-read answer or fence
+	tCastReq    msgType = iota + 1 // client → coordinator: order this payload
+	tJoinReq                       // client → coordinator: add me to group
+	tLeaveReq                      // client → coordinator: remove me
+	tOrdered                       // coordinator → members: sequenced event
+	tAck                           // member → coordinator: processed + response
+	tReply                         // coordinator → client: gathered response
+	tState                         // donor → joiner/laggard: state snapshot
+	tSync                          // new coordinator → all: report your groups
+	tSyncInfo                      // node → new coordinator: my group facts
+	tResync                        // coordinator → donor: push state to laggard
+	tApp                           // application point-to-point message
+	tRestate                       // coordinator → member: your series diverged; wipe and rejoin
+	tBatch                         // container: several messages coalesced into one frame
+	tOrderedRun                    // coordinator → members: contiguous run of sequenced data events
+	tClaim                         // node → group owner: unsolicited placement claim (member nudge or abdication handoff)
+	tLeaseRead                     // client → group member: epoch-fenced direct read (bypasses the sequencer)
+	tLeaseReply                    // group member → client: leased-read answer or fence
 )
 
 // tMaxType is the highest assigned message type; per-type tables (frame
